@@ -11,15 +11,23 @@
 //	    -peers http://a:8080,http://c:8082            majority-gated: promote only with peer votes
 //	gridbwctl watch -resume -endpoints http://a:8080,http://b:8081,http://c:8082
 //	                                                  guard the group across successive failovers
+//	gridbwctl wal-dump -wal waldir                    print a stopped daemon's WAL as JSON lines
 //
 // Without -resume, watch exits 0 once the standby is primary — whether
 // this watchdog promoted it or found it already promoted — so it can
 // anchor a supervise-and-restart loop. With -resume it re-arms against
 // the rediscovered group after each failover and only stops on a signal.
+//
+// wal-dump is the audit trail: every decision event in a WAL directory,
+// one JSON object per line. Opening a WAL repairs a torn tail in place,
+// so point it only at a stopped daemon's directory, as with gridbwcheck.
+// A running daemon's audit stream is GET /v1/replication/pull without an
+// id parameter, which reads the log without recording a follower ack.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -32,6 +40,7 @@ import (
 	"time"
 
 	"gridbw/internal/cluster"
+	"gridbw/internal/server"
 	"gridbw/internal/server/client"
 	"gridbw/internal/wal"
 )
@@ -47,7 +56,7 @@ func main() {
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return errors.New("usage: gridbwctl <status|promote|watch> ...")
+		return errors.New("usage: gridbwctl <status|promote|watch|wal-dump> ...")
 	}
 	switch args[0] {
 	case "status":
@@ -56,9 +65,45 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return runPromote(ctx, args[1:], out)
 	case "watch":
 		return runWatch(ctx, args[1:], out)
+	case "wal-dump":
+		return runWALDump(args[1:], out)
 	default:
-		return fmt.Errorf("unknown command %q (want status, promote or watch)", args[0])
+		return fmt.Errorf("unknown command %q (want status, promote, watch or wal-dump)", args[0])
 	}
+}
+
+// runWALDump prints every decision event in a stopped daemon's WAL
+// directory as JSON lines.
+func runWALDump(args []string, out io.Writer) error {
+	fset := flag.NewFlagSet("wal-dump", flag.ContinueOnError)
+	dir := fset.String("wal", "", "WAL directory of a stopped gridbwd")
+	if err := fset.Parse(args); err != nil {
+		return err
+	}
+	if *dir == "" || fset.NArg() != 0 {
+		return errors.New("usage: gridbwctl wal-dump -wal DIR")
+	}
+	// wal.Open creates a missing directory; a typo must not dump an empty
+	// log as if it were the audit trail.
+	if _, err := os.Stat(*dir); err != nil {
+		return err
+	}
+	l, _, err := wal.Open(*dir, wal.Options{})
+	if err != nil {
+		return err
+	}
+	defer l.Close()
+	events, _, err := server.ReadWALEvents(l, wal.Pos{})
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(out)
+	for _, ev := range events {
+		if err := enc.Encode(ev); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runStatus prints one line per endpoint: role, epoch, cursor and lag.

@@ -1,15 +1,20 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"gridbw/internal/server"
+	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wal"
 )
 
 func testConfig() server.Config {
@@ -29,6 +34,8 @@ func TestCtlUsageErrors(t *testing.T) {
 		{"promote", "http://a", "http://b"},
 		{"watch"},
 		{"watch", "-primary", "http://a"},
+		{"wal-dump"},
+		{"wal-dump", "-wal", "/nonexistent-wal-dir"},
 	} {
 		if err := run(ctx, args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) accepted, want usage error", args)
@@ -141,5 +148,58 @@ func TestCtlWatch(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("watch output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestWALDumpRoundTrip: the dump of a stopped daemon's WAL parses back,
+// line by line, into exactly the events the WAL holds.
+func TestWALDumpRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.WAL = l
+	s, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		d, err := s.Submit(server.Submission{From: i % 2, To: 1, Volume: 10 * units.GB, Deadline: 3600, MaxRate: 1 * units.GBps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			if _, err := s.Cancel(d.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.Close()
+	want, _, err := server.ReadWALEvents(l, wal.Pos{})
+	l.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 4 {
+		t.Fatalf("WAL holds %d events, want 3 accepts and a cancel", len(want))
+	}
+
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"wal-dump", "-wal", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var got []trace.Event
+	sc := bufio.NewScanner(&out)
+	for sc.Scan() {
+		var ev trace.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("dump line %q: %v", sc.Text(), err)
+		}
+		got = append(got, ev)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("dump = %+v, want %+v", got, want)
 	}
 }

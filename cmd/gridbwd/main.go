@@ -4,17 +4,17 @@
 // It serves the /v1 endpoints (requests, batch, status, metricsz,
 // healthz, replication), expires grants against the wall clock, sheds
 // submissions beyond its in-flight limit, and persists its control-plane
-// state twice over: a JSON snapshot of the ledger, and — with -wal — a
-// segmented, CRC-framed write-ahead log of every admission decision.
-// Boot recovers along the strongest available path: snapshot plus the
-// WAL suffix past it, then full WAL replay, then the legacy JSON-lines
-// decision log, then a fresh server.
+// state as a JSON snapshot of the ledger plus — with -wal — a segmented,
+// CRC-framed write-ahead log of every admission decision. Boot is one
+// restore and one fold: the snapshot (or an empty ledger when there is
+// none, or it is unusable), then the WAL history the snapshot does not
+// cover.
 //
-// With -follow the daemon boots as a warm standby instead: it replays
-// its own WAL (or the re-seed snapshot a compacted primary once shipped
-// it), then continuously pulls the primary's decision stream, refusing
-// writes (403) until POST /v1/replication/promote turns it into the
-// primary under a higher fencing epoch. Adding -watch runs the failover
+// With -follow the daemon boots as a warm standby instead: it rebuilds
+// from its own WAL (on top of the re-seed snapshot a compacted primary
+// once shipped it), then continuously pulls the primary's decision
+// stream, refusing writes (403) until POST /v1/replication/promote turns
+// it into the primary under a higher fencing epoch. Adding -watch runs the failover
 // watchdog in-process: the standby probes the primary's health itself
 // and, after enough consecutive misses, a replication-lag check and —
 // with -peers — a majority vote across the group, promotes itself; no
@@ -39,7 +39,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -57,7 +56,6 @@ import (
 	"gridbw/internal/cluster"
 	"gridbw/internal/faults"
 	"gridbw/internal/server"
-	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
 )
@@ -77,7 +75,6 @@ func run(args []string) error {
 	policy := fset.String("policy", "minbw", "bandwidth-assignment policy: minbw, minbw-strict, or f=<x>")
 	snapshot := fset.String("snapshot", "", "snapshot file: restored at boot if present, written on shutdown")
 	snapshotEvery := fset.Duration("snapshot-every", 0, "also write the snapshot periodically (0 = only on shutdown)")
-	decisionLog := fset.String("decision-log", "", "append admission decisions as JSON lines to this file; also a boot fallback when snapshot and WAL are unusable")
 	walDir := fset.String("wal", "", "write-ahead log directory: every decision is CRC-framed and segmented here; the primary recovery source and the replication stream")
 	walFsync := fset.String("wal-fsync", "always", "WAL durability: always (fsync every append), interval, or never")
 	walFsyncInterval := fset.Duration("wal-fsync-interval", 0, "fsync period under -wal-fsync=interval (0 = 100ms)")
@@ -108,7 +105,6 @@ func run(args []string) error {
 	}
 	bc := bootConfig{
 		snapshotPath: *snapshot,
-		logPath:      *decisionLog,
 		policy:       *policy,
 		follow:       *follow,
 		base: server.Config{
@@ -132,14 +128,6 @@ func run(args []string) error {
 	}
 	if bc.egress, err = parseCaps(*egress); err != nil {
 		return fmt.Errorf("-egress: %w", err)
-	}
-	if *decisionLog != "" {
-		f, err := os.OpenFile(*decisionLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		bc.base.Decisions = trace.NewDecisionLog(f)
 	}
 	if *walDir != "" {
 		pol, err := wal.ParseSyncPolicy(*walFsync)
@@ -281,12 +269,11 @@ func newInProcessWatchdog(srv *server.Server, primary string, cfg cluster.Config
 }
 
 // bootConfig gathers everything bootServer needs to bring a server up.
-// base carries the runtime wiring (Decisions, WAL, limits); the platform
-// flags live beside it because snapshot restore forbids platform fields
-// in its Config while fresh boot and log replay require them.
+// base carries the runtime wiring (WAL, limits); the platform flags live
+// beside it because snapshot restore forbids platform fields in its
+// Config while a boot without a snapshot requires them.
 type bootConfig struct {
 	snapshotPath    string
-	logPath         string
 	ingress, egress []units.Bandwidth
 	policy          string
 	follow          string
@@ -301,227 +288,91 @@ func (bc bootConfig) platformConfig() server.Config {
 	return cfg
 }
 
-// bootServer brings up the control plane along the first viable recovery
-// path — snapshot restore plus the WAL suffix past it, then full WAL
-// replay, then decision-log replay, then a fresh server — and reports
-// which path was taken. With -follow it boots a warm standby instead.
+// bootServer brings up the control plane as one restore and one fold:
+// the snapshot — for a follower, the reseed snapshot in its WAL
+// directory — or an empty ledger on the flag platform when there is
+// none, then the WAL history the snapshot does not cover. It reports
+// which path was taken. A primary whose snapshot is unusable falls back
+// to a full WAL replay rather than keep the control plane down over one
+// bad file — unless -wal-compact has cut the WAL past its origin, which
+// the fold refuses; a re-seeded follower never can, because its WAL no
+// longer reaches back past the reseed snapshot. With -follow the pull loop then
+// resumes against the primary from the persisted cursor.
 func bootServer(bc bootConfig) (*server.Server, string, error) {
-	if bc.follow != "" {
-		return bootFollower(bc)
-	}
-	if bc.snapshotPath != "" {
-		f, err := os.Open(bc.snapshotPath)
-		switch {
-		case err == nil:
-			snap, rerr := server.ReadSnapshot(f)
-			f.Close()
-			if rerr == nil {
-				srv, how, serr := bootFromSnapshot(bc, snap)
-				if serr == nil {
-					return srv, how, nil
-				}
-				rerr = serr
-			}
-			// The snapshot exists but cannot be used. Refusing to start
-			// would keep the whole control plane down over one bad file;
-			// the WAL (or the decision log) carries enough to rebuild.
-			srv, how, ferr := bootFallback(bc)
-			if ferr != nil {
-				return nil, "", fmt.Errorf("snapshot %s unusable (%v); %w", bc.snapshotPath, rerr, ferr)
-			}
-			log.Printf("snapshot %s unusable (%v); falling back to %s", bc.snapshotPath, rerr, how)
-			return srv, how, nil
-		case errors.Is(err, fs.ErrNotExist):
-			// First boot with this snapshot path: recover from the WAL
-			// below if it holds history, else start fresh.
-		default:
-			return nil, "", err
-		}
-	}
-	if bc.wal != nil && bc.wal.Records() > 0 {
-		srv, how, err := bootFallback(bc)
-		if err != nil {
-			// A WAL full of decisions must not be silently discarded by a
-			// fresh boot; surface why it cannot be replayed.
-			return nil, "", err
-		}
-		return srv, how, nil
-	}
-	srv, err := server.New(bc.platformConfig())
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, fmt.Sprintf("fresh server (%s, policy %s)", srv.Network(), srv.PolicyName()), nil
-}
-
-// bootFromSnapshot restores the snapshot and replays the WAL suffix past
-// the position it recorded — the decisions made after the snapshot was
-// written and before the crash.
-func bootFromSnapshot(bc bootConfig, snap *server.Snapshot) (*server.Server, string, error) {
-	srv, err := server.NewFromSnapshot(snap, bc.base)
-	if err != nil {
-		return nil, "", err
-	}
-	suffix := 0
-	if bc.wal != nil {
-		events, _, err := server.ReadWALEvents(bc.wal, snap.WALPos())
-		if err == nil {
-			suffix, err = srv.ApplyEvents(events)
-		}
-		if err != nil {
-			srv.Close()
-			return nil, "", fmt.Errorf("WAL suffix past snapshot: %w", err)
-		}
-	}
-	how := fmt.Sprintf("restored snapshot %s: %d live reservations, clock at %s",
-		bc.snapshotPath, len(snap.Live), units.Time(snap.NowS))
-	if suffix > 0 {
-		how += fmt.Sprintf(", replayed %d WAL events past it", suffix)
-	}
-	return srv, how, nil
-}
-
-// bootFallback recovers without a usable snapshot: full WAL replay when
-// the WAL holds history, else the legacy JSON-lines decision log.
-func bootFallback(bc bootConfig) (*server.Server, string, error) {
-	var walErr error
-	if bc.wal != nil && bc.wal.Records() > 0 {
-		srv, how, err := bootFromWAL(bc)
-		if err == nil {
-			return srv, how, nil
-		}
-		walErr = err
-		log.Printf("WAL replay failed (%v); trying the decision log", err)
-	}
-	srv, how, err := bootFromLog(bc)
-	if err != nil && walErr != nil {
-		return nil, "", fmt.Errorf("%v; %w", walErr, err)
-	}
-	return srv, how, err
-}
-
-// bootFromWAL rebuilds the server by strictly replaying the whole WAL:
-// the same audit semantics as the decision log, read from CRC-framed
-// segments that a torn tail truncates instead of poisons.
-func bootFromWAL(bc bootConfig) (*server.Server, string, error) {
-	events, _, err := server.ReadWALEvents(bc.wal, wal.Pos{})
-	if err != nil {
-		return nil, "", fmt.Errorf("WAL replay: %w", err)
-	}
-	srv, err := server.NewFromDecisions(events, bc.platformConfig())
-	if err != nil {
-		return nil, "", fmt.Errorf("WAL replay: %w", err)
-	}
-	return srv, fmt.Sprintf("replayed WAL %s: %d events, %d live reservations",
-		bc.wal.Dir(), len(events), len(srv.LiveReservations())), nil
-}
-
-// bootFromLog rebuilds the server by replaying the decision audit log.
-// The read is torn-tail tolerant: a crash mid-line costs the broken tail,
-// counted and logged, not the whole recovery path — but a log with no
-// surviving events at all is corruption, not history, and stays an error.
-func bootFromLog(bc bootConfig) (*server.Server, string, error) {
-	if bc.logPath == "" {
-		return nil, "", errors.New("no decision log configured to recover from")
-	}
-	blob, err := os.ReadFile(bc.logPath)
-	if err != nil {
-		return nil, "", fmt.Errorf("decision-log recovery: %w", err)
-	}
-	events, dropped, err := trace.RecoverDecisions(bytes.NewReader(blob))
-	if err != nil {
-		return nil, "", fmt.Errorf("decision-log recovery: %w", err)
-	}
-	if dropped > 0 && len(events) == 0 {
-		return nil, "", fmt.Errorf("decision-log recovery: %s is wholly corrupt (%d lines dropped)", bc.logPath, dropped)
-	}
-	if dropped > 0 {
-		log.Printf("decision log %s: dropped %d corrupt trailing line(s), replaying the %d surviving events",
-			bc.logPath, dropped, len(events))
-	}
-	srv, err := server.NewFromDecisions(events, bc.platformConfig())
-	if err != nil {
-		return nil, "", fmt.Errorf("decision-log recovery: %w", err)
-	}
-	return srv, fmt.Sprintf("replayed decision log %s: %d events, %d live reservations",
-		bc.logPath, len(events), len(srv.LiveReservations())), nil
-}
-
-// bootFollower boots the warm standby. A follower that once re-seeded
-// from the primary's snapshot left that snapshot in its WAL directory —
-// and its local WAL no longer reaches back past it — so that snapshot
-// (plus the WAL suffix past the position it recorded) is the mandatory
-// restore path when present. Otherwise the follower's own WAL is replayed
-// tolerantly from the start. Either way the pull loop then resumes
-// against the primary from the persisted cursor.
-func bootFollower(bc bootConfig) (*server.Server, string, error) {
-	if bc.wal != nil {
-		reseedPath := filepath.Join(bc.wal.Dir(), server.ReseedSnapshotName)
-		if f, err := os.Open(reseedPath); err == nil {
-			snap, rerr := server.ReadSnapshot(f)
-			f.Close()
-			if rerr != nil {
-				// The local WAL alone cannot rebuild a re-seeded follower
-				// (the pre-reseed history was compacted away); starting
-				// fresh would silently diverge from the persisted cursor.
-				return nil, "", fmt.Errorf("follower: reseed snapshot %s unusable: %w", reseedPath, rerr)
-			}
-			return bootFollowerFromReseed(bc, snap, reseedPath)
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return nil, "", err
-		}
-	}
-	cfg := bc.platformConfig()
-	cfg.Follow = bc.follow
-	srv, err := server.New(cfg)
-	if err != nil {
-		return nil, "", err
-	}
-	applied := 0
-	if bc.wal != nil && bc.wal.Records() > 0 {
-		events, _, err := server.ReadWALEvents(bc.wal, wal.Pos{})
-		if err == nil {
-			applied, err = srv.ApplyEvents(events)
-		}
-		if err != nil {
-			srv.Close()
-			return nil, "", fmt.Errorf("follower: replay own WAL: %w", err)
-		}
-	}
-	if err := srv.StartFollowing(); err != nil {
-		srv.Close()
-		return nil, "", err
-	}
-	return srv, fmt.Sprintf("following %s (epoch %d, %d local WAL events replayed)",
-		bc.follow, srv.Epoch(), applied), nil
-}
-
-// bootFollowerFromReseed restores a re-seeded follower: the persisted
-// reseed snapshot carries the state as of the re-seed with the follower's
-// local WAL frontier at that moment, so restore plus the local suffix
-// past it reproduces exactly what the follower had applied.
-func bootFollowerFromReseed(bc bootConfig, snap *server.Snapshot, path string) (*server.Server, string, error) {
 	cfg := bc.base
 	cfg.Follow = bc.follow
-	srv, err := server.NewFromSnapshot(snap, cfg)
-	if err != nil {
-		return nil, "", fmt.Errorf("follower: restore reseed snapshot %s: %w", path, err)
+	path, kind := bc.snapshotPath, "snapshot"
+	if bc.follow != "" {
+		path, kind = "", "reseed snapshot"
+		if bc.wal != nil {
+			path = filepath.Join(bc.wal.Dir(), server.ReseedSnapshotName)
+		}
 	}
-	applied := 0
-	events, _, err := server.ReadWALEvents(bc.wal, snap.WALPos())
-	if err == nil {
-		applied, err = srv.ApplyEvents(events)
+	var records uint64
+	if bc.wal != nil {
+		records = bc.wal.Records()
 	}
-	if err != nil {
-		srv.Close()
-		return nil, "", fmt.Errorf("follower: replay WAL past reseed snapshot: %w", err)
+
+	var srv *server.Server
+	var snap *server.Snapshot
+	var snapErr error
+	if path != "" {
+		f, err := os.Open(path)
+		if err == nil {
+			snap, err = server.ReadSnapshot(f)
+			f.Close()
+			if err == nil {
+				srv, err = server.NewFromSnapshot(snap, cfg)
+			}
+		} else if errors.Is(err, fs.ErrNotExist) {
+			err = nil // no snapshot yet: boot from empty plus the WAL
+		}
+		if err != nil {
+			snapErr = fmt.Errorf("%s %s unusable (%v)", kind, path, err)
+		}
 	}
-	if err := srv.StartFollowing(); err != nil {
-		srv.Close()
-		return nil, "", err
+	switch {
+	case snapErr != nil && bc.follow != "":
+		return nil, "", fmt.Errorf("follower: %w", snapErr)
+	case snapErr != nil && records == 0:
+		return nil, "", fmt.Errorf("%w; no WAL history to replay instead", snapErr)
+	case snapErr != nil:
+		log.Printf("%v; falling back to a full WAL replay", snapErr)
 	}
-	return srv, fmt.Sprintf("following %s from reseed snapshot %s (epoch %d, %d live reservations, %d local WAL events past it)",
-		bc.follow, path, srv.Epoch(), len(srv.LiveReservations()), applied), nil
+
+	restored := srv != nil
+	if !restored {
+		cfg := bc.platformConfig()
+		cfg.Follow = bc.follow
+		var err error
+		if srv, err = server.New(cfg); err != nil {
+			if snapErr != nil {
+				return nil, "", fmt.Errorf("%v; WAL replay: %w", snapErr, err)
+			}
+			return nil, "", err
+		}
+	}
+	var how string
+	switch {
+	case restored:
+		how = fmt.Sprintf("restored %s %s, clock at %s", kind, path, units.Time(snap.NowS))
+		if bc.wal != nil {
+			how += fmt.Sprintf(", then the WAL past %v", snap.WALPos())
+		}
+	case records > 0:
+		how = fmt.Sprintf("replayed WAL %s (%d records)", bc.wal.Dir(), records)
+	default:
+		how = fmt.Sprintf("fresh server (%s, policy %s)", srv.Network(), srv.PolicyName())
+	}
+	how += fmt.Sprintf(": %d live reservations", len(srv.LiveReservations()))
+	if bc.follow != "" {
+		if err := srv.StartFollowing(); err != nil {
+			srv.Close()
+			return nil, "", err
+		}
+		how = fmt.Sprintf("following %s (epoch %d) from %s", bc.follow, srv.Epoch(), how)
+	}
+	return srv, how, nil
 }
 
 // splitPeers parses the -peers list into trimmed base URLs.
@@ -551,7 +402,7 @@ func parseCaps(list string) ([]units.Bandwidth, error) {
 // the WAL segments the snapshot now wholly covers.
 func persistSnapshot(srv *server.Server, path string, l *wal.Log, compact bool) error {
 	snap := srv.Snapshot()
-	if err := writeSnapFile(snap, path); err != nil {
+	if err := snap.WriteFile(path); err != nil {
 		return err
 	}
 	if l != nil && compact {
@@ -562,15 +413,4 @@ func persistSnapshot(srv *server.Server, path string, l *wal.Log, compact bool) 
 		}
 	}
 	return nil
-}
-
-// writeSnapshotAtomic captures the current state and writes it durably.
-func writeSnapshotAtomic(srv *server.Server, path string) error {
-	return writeSnapFile(srv.Snapshot(), path)
-}
-
-// writeSnapFile writes the snapshot durably (temp file + fsync + rename +
-// directory fsync).
-func writeSnapFile(snap *server.Snapshot, path string) error {
-	return snap.WriteFile(path)
 }

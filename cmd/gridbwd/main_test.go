@@ -9,30 +9,35 @@ import (
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wal"
 )
 
-func testBootConfig(dir string) bootConfig {
-	return bootConfig{
-		snapshotPath: filepath.Join(dir, "gridbwd.snap.json"),
-		logPath:      filepath.Join(dir, "decisions.jsonl"),
-		ingress:      []units.Bandwidth{1 * units.GBps},
-		egress:       []units.Bandwidth{1 * units.GBps},
-		policy:       "minbw",
-	}
-}
-
-// seedState runs a short daemon lifetime, leaving a snapshot and a
-// decision log on disk with one live reservation.
-func seedState(t *testing.T, bc bootConfig) server.Decision {
+// testBootConfig is a one-point primary with a snapshot path and a WAL,
+// both in a fresh directory.
+func testBootConfig(t *testing.T) bootConfig {
 	t.Helper()
-	logF, err := os.Create(bc.logPath)
+	dir := t.TempDir()
+	l, _, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer logF.Close()
-	cfg := bc.platformConfig()
-	cfg.Decisions = trace.NewDecisionLog(logF)
-	s, err := server.New(cfg)
+	t.Cleanup(func() { l.Close() })
+	bc := bootConfig{
+		snapshotPath: filepath.Join(dir, "gridbwd.snap.json"),
+		ingress:      []units.Bandwidth{1 * units.GBps},
+		egress:       []units.Bandwidth{1 * units.GBps},
+		policy:       "minbw",
+		wal:          l,
+	}
+	bc.base.WAL = l
+	return bc
+}
+
+// seedState runs a short daemon lifetime, leaving a snapshot and a WAL
+// on disk with one live reservation.
+func seedState(t *testing.T, bc bootConfig) server.Decision {
+	t.Helper()
+	s, err := server.New(bc.platformConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +48,14 @@ func seedState(t *testing.T, bc bootConfig) server.Decision {
 	if err != nil || !d.Accepted {
 		t.Fatalf("seed submission: %v %+v", err, d)
 	}
-	if err := writeSnapshotAtomic(s, bc.snapshotPath); err != nil {
+	if err := s.Snapshot().WriteFile(bc.snapshotPath); err != nil {
 		t.Fatal(err)
 	}
 	return d
 }
 
 func TestBootFreshWhenNoSnapshot(t *testing.T) {
-	bc := testBootConfig(t.TempDir())
+	bc := testBootConfig(t)
 	srv, how, err := bootServer(bc)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +67,7 @@ func TestBootFreshWhenNoSnapshot(t *testing.T) {
 }
 
 func TestBootRestoresSnapshot(t *testing.T) {
-	bc := testBootConfig(t.TempDir())
+	bc := testBootConfig(t)
 	want := seedState(t, bc)
 	srv, how, err := bootServer(bc)
 	if err != nil {
@@ -78,10 +83,10 @@ func TestBootRestoresSnapshot(t *testing.T) {
 	}
 }
 
-// TestBootFallsBackToDecisionLog: a corrupt snapshot no longer refuses
-// boot — the decision log rebuilds the same ledger.
-func TestBootFallsBackToDecisionLog(t *testing.T) {
-	bc := testBootConfig(t.TempDir())
+// TestBootFallsBackToWALReplay: a corrupt snapshot does not refuse boot
+// — a full WAL replay rebuilds the same ledger.
+func TestBootFallsBackToWALReplay(t *testing.T) {
+	bc := testBootConfig(t)
 	want := seedState(t, bc)
 	if err := os.WriteFile(bc.snapshotPath, []byte("{ not json"), 0o644); err != nil {
 		t.Fatal(err)
@@ -91,8 +96,8 @@ func TestBootFallsBackToDecisionLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if !strings.Contains(how, "decision log") {
-		t.Errorf("recovery path = %q, want decision-log replay", how)
+	if !strings.Contains(how, "WAL") {
+		t.Errorf("recovery path = %q, want WAL replay", how)
 	}
 	live := srv.LiveReservations()
 	if len(live) != 1 || live[0].Req.ID != want.ID || live[0].Grant.Bandwidth != want.Rate {
@@ -103,11 +108,11 @@ func TestBootFallsBackToDecisionLog(t *testing.T) {
 	}
 }
 
-// TestBootFailsWithoutAnyRecoveryPath: corrupt snapshot and no log is a
+// TestBootFailsWithoutAnyRecoveryPath: corrupt snapshot and no WAL is a
 // hard error naming both problems.
 func TestBootFailsWithoutAnyRecoveryPath(t *testing.T) {
-	bc := testBootConfig(t.TempDir())
-	bc.logPath = ""
+	bc := testBootConfig(t)
+	bc.wal, bc.base.WAL = nil, nil
 	if err := os.WriteFile(bc.snapshotPath, []byte("{ not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -115,22 +120,143 @@ func TestBootFailsWithoutAnyRecoveryPath(t *testing.T) {
 	if err == nil {
 		t.Fatal("boot succeeded with no usable state source")
 	}
-	if !strings.Contains(err.Error(), "unusable") || !strings.Contains(err.Error(), "decision log") {
+	if !strings.Contains(err.Error(), "unusable") || !strings.Contains(err.Error(), "WAL") {
 		t.Errorf("error %q does not explain both failures", err)
 	}
 }
 
-// TestBootRejectsTamperedSnapshotWithBadLog: when both sources are
-// corrupt, the error surfaces the log failure too.
-func TestBootRejectsTamperedSnapshotWithBadLog(t *testing.T) {
-	bc := testBootConfig(t.TempDir())
+// TestBootFailsWhenWALReplayFails: a corrupt snapshot behind a WAL whose
+// replay also fails — here a well-framed record that is not an event —
+// is a hard error naming both problems.
+func TestBootFailsWhenWALReplayFails(t *testing.T) {
+	bc := testBootConfig(t)
+	seedState(t, bc)
+	if _, err := bc.wal.Append([]byte("{ not an event")); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(bc.snapshotPath, []byte("{ not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(bc.logPath, []byte("also { not json"), 0o644); err != nil {
+	srv, how, err := bootServer(bc)
+	if err == nil {
+		srv.Close()
+		t.Fatalf("boot succeeded (%s) with an unusable snapshot and an unreadable WAL", how)
+	}
+	if !strings.Contains(err.Error(), "unusable") || !strings.Contains(err.Error(), "WAL replay") {
+		t.Errorf("error %q does not explain both failures", err)
+	}
+}
+
+// TestBootRefusesCompactedWALWithoutSnapshot: once -wal-compact has
+// unlinked the segments a snapshot covered, that snapshot is the only
+// record of their grants. With it corrupt or missing, folding the
+// surviving segments would boot a ledger short of live reservations, so
+// boot fails instead.
+func TestBootRefusesCompactedWALWithoutSnapshot(t *testing.T) {
+	const accepts = 8
+	for _, damage := range []string{"corrupt", "missing"} {
+		t.Run(damage, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{SegmentBytes: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			bc := walBootConfig(l)
+			bc.snapshotPath = filepath.Join(dir, "gridbwd.snap.json")
+			s, err := server.New(bc.platformConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < accepts; i++ {
+				d, err := s.Submit(server.Submission{
+					From: i % 2, To: (i + 1) % 2,
+					Volume: 5 * units.GB, Deadline: 40000, MaxRate: 50 * units.MBps,
+				})
+				if err != nil || !d.Accepted {
+					t.Fatalf("seed submit %d: %v %+v", i, err, d)
+				}
+			}
+			if err := persistSnapshot(s, bc.snapshotPath, l, true); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			if first := l.FirstPos(); first.Seg <= 1 {
+				t.Fatalf("WAL still starts at %v: nothing was compacted", first)
+			}
+
+			// With the snapshot intact the boot restores every grant.
+			srv, _, err := bootServer(bc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(srv.LiveReservations()); n != accepts {
+				t.Errorf("snapshot boot: %d live reservations, want %d", n, accepts)
+			}
+			srv.Close()
+
+			if damage == "corrupt" {
+				err = os.WriteFile(bc.snapshotPath, []byte("{ not json"), 0o644)
+			} else {
+				err = os.Remove(bc.snapshotPath)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, how, err := bootServer(bc)
+			if err == nil {
+				n := len(srv.LiveReservations())
+				srv.Close()
+				t.Fatalf("booted (%s) from a compacted WAL alone with %d of %d live reservations", how, n, accepts)
+			}
+			if !strings.Contains(err.Error(), "compacted") {
+				t.Errorf("error %q does not name the compacted WAL", err)
+			}
+			if damage == "corrupt" && !strings.Contains(err.Error(), "unusable") {
+				t.Errorf("error %q does not name the unusable snapshot", err)
+			}
+		})
+	}
+}
+
+// TestBootReplaysHoldsFromWAL: a shard whose WAL logged a cross-shard
+// hold_reserve and hold_confirm boots from that WAL alone, with no
+// snapshot, and the confirmed hold keeps its capacity booked.
+func TestBootReplaysHoldsFromWAL(t *testing.T) {
+	l, _, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := bootServer(bc); err == nil {
-		t.Fatal("boot succeeded from two corrupt sources")
+	defer l.Close()
+	bc := walBootConfig(l)
+	s, err := server.New(bc.platformConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.HoldReserve(server.HoldReserveJSON{
+		Hold: "h1", Side: trace.HoldSideIngress, Point: 0, PeerPoint: 1, TTLS: 60,
+		VolumeBytes: 1e10, MaxRateBps: 1e9, DeadlineS: 3600,
+	})
+	if err != nil || !r.Held {
+		t.Fatalf("reserve: %v %+v", err, r)
+	}
+	if _, err := s.HoldConfirm("h1", 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	srv, how, err := bootServer(bc)
+	if err != nil {
+		t.Fatalf("WAL-only boot of a shard with a confirmed hold: %v", err)
+	}
+	defer srv.Close()
+	if !strings.Contains(how, "WAL") {
+		t.Errorf("recovery path = %q, want WAL replay", how)
+	}
+	if held, confirmed := srv.HoldStats(); held != 0 || confirmed != 1 {
+		t.Errorf("holds after WAL boot = %d held / %d confirmed, want 0/1", held, confirmed)
+	}
+	if err := srv.VerifyInvariant(); err != nil {
+		t.Error(err)
 	}
 }

@@ -35,7 +35,7 @@ type Online struct {
 	// size. Submissions inside a batch also count toward Submitted.
 	Batches       uint64 `json:"batches,omitempty"`
 	BatchRequests uint64 `json:"batch_requests,omitempty"`
-	// LogAppendFailures counts decision-log or WAL appends that failed.
+	// LogAppendFailures counts WAL appends that failed.
 	// Any non-zero value flips the daemon into durability-degraded mode:
 	// it keeps serving, but the audit trail has a hole and a crash could
 	// forget decisions made past the failure.
@@ -95,7 +95,7 @@ func (o *Online) RecordBatch(n int) {
 	o.BatchRequests += uint64(n)
 }
 
-// RecordLogAppendFailure counts a decision-log or WAL append that failed.
+// RecordLogAppendFailure counts a WAL append that failed.
 func (o *Online) RecordLogAppendFailure() { o.LogAppendFailures++ }
 
 // RecordReseed counts a snapshot re-seed after the pull cursor was

@@ -15,40 +15,41 @@ import (
 	"gridbw/internal/server/client"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wal"
 )
 
 const testPoints = 8
 
-// eventBuf collects one shard's decision events for assertions.
-type eventBuf struct {
-	ch chan trace.Event
+// eventLog reads one shard's decision events back from its WAL for
+// assertions; seen counts the events waitKind already consumed.
+type eventLog struct {
+	l    *wal.Log
+	seen int
 }
 
-func newEventBuf() *eventBuf { return &eventBuf{ch: make(chan trace.Event, 1024)} }
-
-func (b *eventBuf) Append(ev trace.Event) error {
-	select {
-	case b.ch <- ev:
-	default:
-	}
-	return nil
-}
-
-// waitKind blocks until an event of one of the wanted kinds arrives.
-func (b *eventBuf) waitKind(t *testing.T, kinds ...string) trace.Event {
+// waitKind blocks until an event of one of the wanted kinds is logged
+// past the ones already consumed, and consumes up to it.
+func (b *eventLog) waitKind(t *testing.T, kinds ...string) trace.Event {
 	t.Helper()
-	deadline := time.After(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
-		select {
-		case ev := <-b.ch:
+		events, _, err := server.ReadWALEvents(b.l, wal.Pos{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b.seen < len(events) {
+			ev := events[b.seen]
+			b.seen++
 			for _, k := range kinds {
 				if ev.Kind == k {
 					return ev
 				}
 			}
-		case <-deadline:
+		}
+		if time.Now().After(deadline) {
 			t.Fatalf("no %v event within 5s", kinds)
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -58,7 +59,7 @@ type testTier struct {
 	web     *httptest.Server
 	servers []*server.Server
 	backs   []*httptest.Server
-	events  []*eventBuf
+	events  []*eventLog
 }
 
 func caps(n int, bw units.Bandwidth) []units.Bandwidth {
@@ -76,15 +77,19 @@ func newTier(t *testing.T, nShards int, egressBw units.Bandwidth) *testTier {
 	tier := &testTier{}
 	var shards []ShardConfig
 	for i := 0; i < nShards; i++ {
-		evs := newEventBuf()
+		l, _, err := wal.Open(t.TempDir(), wal.Options{Policy: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
 		srv, err := server.New(server.Config{
-			Ingress:   caps(testPoints, units.GBps),
-			Egress:    caps(testPoints, egressBw),
-			Decisions: evs,
+			Ingress: caps(testPoints, units.GBps),
+			Egress:  caps(testPoints, egressBw),
+			WAL:     l,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		evs := &eventLog{l: l}
 		ts := httptest.NewServer(srv.Handler())
 		tier.servers = append(tier.servers, srv)
 		tier.backs = append(tier.backs, ts)
@@ -102,6 +107,7 @@ func newTier(t *testing.T, nShards int, egressBw units.Bandwidth) *testTier {
 		for i := range tier.servers {
 			tier.backs[i].Close()
 			tier.servers[i].Close()
+			tier.events[i].l.Close()
 		}
 	})
 	return tier

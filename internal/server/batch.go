@@ -239,7 +239,7 @@ func (s *Server) submitMany(subs []Submission, sc *batchScratch) error {
 				continue
 			}
 			it.ent = &idemEntry{done: make(chan struct{})}
-			s.rememberLocked(key, it.ent)
+			s.remember(key, it.ent, s.retention)
 		}
 		notBefore := sub.NotBefore
 		if notBefore < now {

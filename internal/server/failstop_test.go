@@ -134,11 +134,7 @@ func TestWALPoisonRefusesDurableUntilRestart(t *testing.T) {
 	cfg2 := uniformConfig(nil)
 	cfg2.WAL = l2
 	cfg2.SyncTimeout = 50 * time.Millisecond
-	events, _, err := server.ReadWALEvents(l2, wal.Pos{})
-	if err != nil {
-		t.Fatalf("read recovered events: %v", err)
-	}
-	s2, err := server.NewFromDecisions(events, cfg2)
+	s2, err := server.New(cfg2)
 	if err != nil {
 		t.Fatalf("boot after restart: %v", err)
 	}

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -9,17 +8,18 @@ import (
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wal"
 )
 
 // holdConfig is a 2-point platform where one full-capacity hold saturates
 // a point: volume 1e10 over a 10s deadline at cap 1GB/s leaves zero
 // slack, so double-booking is immediately visible as a refusal.
-func holdConfig(clk *fakeClock, sink trace.DecisionSink) server.Config {
+func holdConfig(clk *fakeClock, l *wal.Log) server.Config {
 	return server.Config{
-		Ingress:   []units.Bandwidth{units.GBps, units.GBps},
-		Egress:    []units.Bandwidth{units.GBps, units.GBps},
-		Clock:     clk.now,
-		Decisions: sink,
+		Ingress: []units.Bandwidth{units.GBps, units.GBps},
+		Egress:  []units.Bandwidth{units.GBps, units.GBps},
+		Clock:   clk.now,
+		WAL:     l,
 	}
 }
 
@@ -93,8 +93,8 @@ func TestHoldReserveProposesAndBooks(t *testing.T) {
 // until τ and releases on time — not before, not never.
 func TestHoldConfirmReleasesOnSchedule(t *testing.T) {
 	clk := &fakeClock{}
-	var buf bytes.Buffer
-	s := newTestServer(t, holdConfig(clk, trace.NewDecisionLog(&buf)))
+	l := openTestWAL(t)
+	s := newTestServer(t, holdConfig(clk, l))
 
 	r, err := s.HoldReserve(fullReserve("h1"))
 	if err != nil || !r.Held {
@@ -128,15 +128,15 @@ func TestHoldConfirmReleasesOnSchedule(t *testing.T) {
 	if r3, err := s.HoldReserve(fullReserveRel("h3")); err != nil || !r3.Held {
 		t.Fatalf("reserve after release: %v %+v, want capacity back", err, r3)
 	}
-	assertHoldEvent(t, &buf, trace.EventHoldRelease, "h1")
+	assertHoldEvent(t, l, trace.EventHoldRelease, "h1")
 }
 
 // TestHoldTTLExpiry: an unconfirmed hold rolls back when its TTL lapses,
 // the expiry is WAL-visible, and the capacity is reusable.
 func TestHoldTTLExpiry(t *testing.T) {
 	clk := &fakeClock{}
-	var buf bytes.Buffer
-	s := newTestServer(t, holdConfig(clk, trace.NewDecisionLog(&buf)))
+	l := openTestWAL(t)
+	s := newTestServer(t, holdConfig(clk, l))
 
 	if r, err := s.HoldReserve(fullReserve("h1")); err != nil || !r.Held {
 		t.Fatalf("reserve: %v %+v", err, r)
@@ -146,7 +146,7 @@ func TestHoldTTLExpiry(t *testing.T) {
 	if held, confirmed := s.HoldStats(); held != 0 || confirmed != 0 {
 		t.Fatalf("holds after TTL = %d/%d, want expired", held, confirmed)
 	}
-	assertHoldEvent(t, &buf, trace.EventHoldExpire, "h1")
+	assertHoldEvent(t, l, trace.EventHoldExpire, "h1")
 
 	// A late CONFIRM of the lapsed hold is the conflict the router maps to
 	// "abort the peer side".
@@ -278,10 +278,10 @@ func TestHoldEgressRelTimes(t *testing.T) {
 	}
 }
 
-// assertHoldEvent scans the decision log for a hold event of one kind.
-func assertHoldEvent(t *testing.T, buf *bytes.Buffer, kind, hold string) {
+// assertHoldEvent scans the WAL for a hold event of one kind.
+func assertHoldEvent(t *testing.T, l *wal.Log, kind, hold string) {
 	t.Helper()
-	events, err := trace.ReadDecisions(bytes.NewReader(buf.Bytes()))
+	events, _, err := server.ReadWALEvents(l, wal.Pos{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,5 +290,5 @@ func assertHoldEvent(t *testing.T, buf *bytes.Buffer, kind, hold string) {
 			return
 		}
 	}
-	t.Fatalf("no %s event for hold %q in the decision log", kind, hold)
+	t.Fatalf("no %s event for hold %q in the WAL", kind, hold)
 }

@@ -124,9 +124,9 @@ type StatusJSON struct {
 	BatchRequests  uint64  `json:"batch_requests"`
 	AcceptRate     float64 `json:"accept_rate"`
 	MeanGrantedBps float64 `json:"mean_granted_rate_bps"`
-	// LogAppendFailures and DurabilityDegraded surface decision-log or
-	// WAL appends that failed: the daemon keeps serving, but its audit
-	// trail has a hole a crash could turn into forgotten decisions.
+	// LogAppendFailures and DurabilityDegraded surface WAL appends that
+	// failed: the daemon keeps serving, but its audit trail has a hole a
+	// crash could turn into forgotten decisions.
 	LogAppendFailures  uint64      `json:"log_append_failures"`
 	DurabilityDegraded bool        `json:"durability_degraded"`
 	Points             []PointJSON `json:"points"`
@@ -222,8 +222,8 @@ type HealthJSON struct {
 	InFlight    int     `json:"in_flight"`
 	MaxInFlight int     `json:"max_in_flight"`
 	Shed        uint64  `json:"shed_total"`
-	// DurabilityDegraded reports decision-log or WAL append failures; the
-	// daemon still serves (200), but the audit trail has a hole.
+	// DurabilityDegraded reports WAL append failures; the daemon still
+	// serves (200), but the audit trail has a hole.
 	DurabilityDegraded bool `json:"durability_degraded"`
 	// WALPoisoned reports a fail-stopped WAL: durable admissions are
 	// refused (503 with ErrDurabilityLost) until the daemon restarts.

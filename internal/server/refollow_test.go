@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"gridbw/internal/server"
 )
@@ -91,6 +92,43 @@ func TestFollowerRediscoversPrimaryAfterFailover(t *testing.T) {
 	if st := srvB.Status(); st.Active != 2 {
 		t.Fatalf("B active after failover = %d, want 2", st.Active)
 	}
+}
+
+// TestFollowerRediscoversLateElection: the losing follower's first peer
+// probes run before the election has a winner. It must keep probing as
+// its pulls keep failing instead of pushing each new round out by
+// several doubling backoffs, so it converges within seconds of the
+// promotion.
+func TestFollowerRediscoversLateElection(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadURL := dead.URL
+	dead.Close() // the primary is gone before the followers start
+
+	var srvA, srvB *server.Server
+	tsA := newDelegatingServer(t, &srvA)
+	tsB := newDelegatingServer(t, &srvB)
+	peers := []string{deadURL, tsA.URL, tsB.URL}
+	newFollower := func() *server.Server {
+		cfg := uniformConfig(nil)
+		cfg.Follow = deadURL
+		cfg.Peers = peers
+		return newTestServer(t, cfg)
+	}
+	srvA = newFollower()
+	srvB = newFollower()
+	if err := srvB.StartFollowing(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The election outlasts B's first probes (after ~150ms and ~1.5s of
+	// failed pulls), which find no primary.
+	time.Sleep(1800 * time.Millisecond)
+	if _, err := srvA.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "B re-pointing at A", func() bool {
+		return srvB.ReplicationStatus().Source == tsA.URL
+	})
 }
 
 // newDelegatingServer starts an httptest server whose handler resolves the

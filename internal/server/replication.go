@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"gridbw/internal/request"
+	"gridbw/internal/topology"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
 	"gridbw/internal/wal"
@@ -219,9 +220,10 @@ func (s *Server) ApplyShipped(b ShippedBatch) error {
 	return nil
 }
 
-// ApplyEvents tolerantly replays recovered events — the WAL suffix past a
-// snapshot, or a follower's own WAL at boot — into the server. The events
-// are not re-recorded: they already live in the local WAL.
+// ApplyEvents tolerantly replays recovered events into the server — the
+// fold of every rebuild (New and NewFromSnapshot run it over the WAL
+// history their restore step does not cover). The events are not
+// re-recorded: they already live in the local WAL.
 func (s *Server) ApplyEvents(events []trace.Event) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -307,6 +309,39 @@ func (s *Server) applyEventLocked(ev trace.Event, toWAL bool) error {
 		s.appendEventLocked(ev)
 	}
 	return nil
+}
+
+// grantFromEvent reconstructs the request and grant an accept event
+// recorded, re-deriving the submission echo when the event omits it (the
+// daemon's grants always satisfy vol = bw·(τ−σ) exactly).
+func grantFromEvent(ev trace.Event, net *topology.Network) (request.Request, request.Grant, error) {
+	id := request.ID(ev.Request)
+	g := request.Grant{
+		Request:   id,
+		Bandwidth: units.Bandwidth(ev.RateBps),
+		Sigma:     units.Time(ev.SigmaS),
+		Tau:       units.Time(ev.TauS),
+	}
+	if g.Tau <= g.Sigma || g.Bandwidth <= 0 {
+		return request.Request{}, g, fmt.Errorf("reservation %d has degenerate grant", ev.Request)
+	}
+	vol := units.Volume(ev.VolumeB)
+	maxRate := units.Bandwidth(ev.MaxRateBps)
+	if vol <= 0 {
+		vol = g.Bandwidth.For(g.Tau - g.Sigma)
+		maxRate = g.Bandwidth
+	}
+	r := request.Request{
+		ID:      id,
+		Ingress: topology.PointID(ev.Ingress), Egress: topology.PointID(ev.Egress),
+		Start: g.Sigma, Finish: g.Tau,
+		Volume: vol, MaxRate: maxRate,
+	}
+	if int(r.Ingress) >= net.NumIngress() || int(r.Egress) >= net.NumEgress() ||
+		r.Ingress < 0 || r.Egress < 0 {
+		return r, g, fmt.Errorf("reservation %d routed through unknown point", ev.Request)
+	}
+	return r, g, nil
 }
 
 // reanchorLocked pulls the service clock forward to the primary's event
@@ -510,10 +545,13 @@ func (s *Server) pullLoop(source string, stop, done chan struct{}) {
 		}
 		s.setPullError(err)
 		if failures++; failures >= refollowAfter {
-			failures = 0
+			// Probe again on every further failure: a probe that ran
+			// before the election finished must not push the next one out
+			// by refollowAfter doubling backoffs.
 			if next, ok := s.rediscoverPrimary(hc, stop); ok && next != source {
 				source = next
 				backoff = pullBaseBackoff
+				failures = 0
 				s.setPullError(nil)
 				continue
 			}

@@ -355,3 +355,55 @@ func TestApplyEventsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFollowerRebootKeepsWALPositions: a follower rebuilt from its own
+// WAL appends nothing of its own, so its log stays frame-for-frame the
+// primary's and the cursor of another follower that re-points at it
+// after a promotion still lands on a frame boundary.
+func TestFollowerRebootKeepsWALPositions(t *testing.T) {
+	pcfg := uniformConfig(nil)
+	pwal := openTestWAL(t)
+	pcfg.WAL = pwal
+	p := newTestServer(t, pcfg)
+	for i := 0; i < 3; i++ {
+		if _, err := p.Submit(server.Submission{From: 0, To: 1, Volume: 1e9, Deadline: 3600, MaxRate: 50e6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events, next, err := server.ReadWALEvents(pwal, wal.Pos{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	fwal, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcfg := uniformConfig(nil)
+	fcfg.WAL = fwal
+	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
+	f, err := server.New(fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ApplyShipped(server.ShippedBatch{Epoch: p.Epoch(), Next: next, Events: events}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	fwal.Close()
+
+	fwal2, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwal2.Close()
+	fcfg.WAL = fwal2
+	f2 := newTestServer(t, fcfg)
+	if got := len(f2.LiveReservations()); got != 3 {
+		t.Fatalf("rebooted follower holds %d reservations, want 3", got)
+	}
+	if got, want := fwal2.End(), pwal.End(); got != want {
+		t.Fatalf("rebooted follower's WAL ends at %v, primary's at %v", got, want)
+	}
+}

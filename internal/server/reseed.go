@@ -25,7 +25,6 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"gridbw/internal/alloc"
 	"gridbw/internal/request"
 	"gridbw/internal/topology"
 	"gridbw/internal/trace"
@@ -68,12 +67,6 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 // any instant leaves a bootable state; a persistence failure aborts the
 // re-seed with the follower unchanged.
 func (s *Server) Reseed(snap *Snapshot) error {
-	if snap.Version < 1 || snap.Version > SnapshotVersion {
-		return fmt.Errorf("server: reseed: unsupported snapshot version %d", snap.Version)
-	}
-	if snap.NowS < 0 || snap.NextID < 0 {
-		return fmt.Errorf("server: reseed: negative clock or ID counter")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -90,18 +83,9 @@ func (s *Server) Reseed(snap *Snapshot) error {
 	}
 
 	// Phase 1 — build and validate everything fallibly, touching no
-	// shared state: the fresh ledger replays every live grant through the
-	// capacity checks, and the idempotency decisions are validated against
-	// the snapshot's own registry.
-	fresh := alloc.NewSharded(s.net)
-	entries, err := liveFromSnapshot(snap, s.net, fresh)
+	// shared state, through the same restore step every boot takes.
+	st, err := restoreState(snap, s.net, s.retention)
 	if err != nil {
-		return fmt.Errorf("server: reseed: %w", err)
-	}
-	oldIdem, oldOrder := s.idem, s.idemOrder
-	s.idem, s.idemOrder = make(map[string]*idemEntry), nil
-	if err := s.restoreIdempotency(snap, entries); err != nil {
-		s.idem, s.idemOrder = oldIdem, oldOrder
 		return fmt.Errorf("server: reseed: %w", err)
 	}
 
@@ -115,7 +99,6 @@ func (s *Server) Reseed(snap *Snapshot) error {
 		local.WALSeg, local.WALOff = localEnd.Seg, localEnd.Off
 		path := filepath.Join(s.wal.Dir(), ReseedSnapshotName)
 		if err := local.WriteFile(path); err != nil {
-			s.idem, s.idemOrder = oldIdem, oldOrder
 			return fmt.Errorf("server: reseed: persist snapshot: %w", err)
 		}
 		if snap.Epoch > s.repl.epoch {
@@ -134,17 +117,9 @@ func (s *Server) Reseed(snap *Snapshot) error {
 		}
 	}
 
-	// Phase 3 — swap, infallibly. Followers never arm expiry timers, but
-	// cancel defensively in case this state was restored by an older boot
-	// path that did.
-	for _, e := range s.resv {
-		if e.state == StateActive {
-			s.sim.Cancel(e.expire)
-		}
-	}
-	s.ledger = fresh
-	s.resv = entries
-	s.finished = nil
+	// Phase 3 — swap, infallibly. A follower never arms expiry or hold
+	// timers, so nothing pending refers to the state being dropped.
+	s.state = st
 	if request.ID(snap.NextID) > s.nextID {
 		s.nextID = request.ID(snap.NextID)
 	}

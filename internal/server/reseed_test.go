@@ -295,3 +295,39 @@ func TestReseedRestoresIdempotency(t *testing.T) {
 		t.Fatalf("active after idempotent re-send = %d, want still 1", got)
 	}
 }
+
+// TestReseedCarriesHolds: a re-seeded follower inherits the donor's
+// cross-shard holds, so after promotion a confirmed hold still books its
+// capacity and a saturating submission is refused rather than
+// over-committing equation (1).
+func TestReseedCarriesHolds(t *testing.T) {
+	clk := &fakeClock{}
+	donor := newTestServer(t, holdConfig(clk, nil))
+	if r, err := donor.HoldReserve(fullReserve("h1")); err != nil || !r.Held {
+		t.Fatalf("reserve: %v %+v", err, r)
+	}
+	if _, err := donor.HoldConfirm("h1", 0); err != nil {
+		t.Fatal(err)
+	}
+	snap := donor.Snapshot()
+
+	fcfg := holdConfig(clk, nil)
+	fcfg.Follow = "http://127.0.0.1:0" // driven directly, never dialed
+	f := newTestServer(t, fcfg)
+	if err := f.Reseed(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if held, confirmed := f.HoldStats(); held != 0 || confirmed != 1 {
+		t.Fatalf("holds after reseed = %d held / %d confirmed, want 0/1", held, confirmed)
+	}
+	d, err := f.Submit(server.Submission{From: 0, To: 0, Volume: 1e10, Deadline: 10, MaxRate: 1e9})
+	if err != nil || d.Accepted {
+		t.Fatalf("saturating submit after reseed: %v %+v, want refusal", err, d)
+	}
+	if err := f.VerifyInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}

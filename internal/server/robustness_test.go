@@ -13,6 +13,7 @@ import (
 	"gridbw/internal/server"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wal"
 )
 
 // TestIdempotentSubmit: the same idempotency key returns the original
@@ -167,10 +168,9 @@ func TestLoadShedding(t *testing.T) {
 // TestRecovererTurnsPanicsInto500: a panicking handler yields a 500 and
 // a counted, audited panic — not a dropped connection.
 func TestRecovererTurnsPanicsInto500(t *testing.T) {
-	var log bytes.Buffer
 	clk := &fakeClock{}
 	cfg := uniformConfig(clk)
-	cfg.Decisions = trace.NewDecisionLog(&log)
+	cfg.WAL = openTestWAL(t)
 	s := newTestServer(t, cfg)
 
 	mux := http.NewServeMux()
@@ -189,13 +189,13 @@ func TestRecovererTurnsPanicsInto500(t *testing.T) {
 	if st := s.Status(); st.Stats.Panics != 1 {
 		t.Errorf("panics = %d, want 1", st.Stats.Panics)
 	}
-	events, err := trace.ReadDecisions(&log)
+	events, _, err := server.ReadWALEvents(cfg.WAL, wal.Pos{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 1 || events[0].Kind != trace.EventPanic ||
 		!strings.Contains(events[0].Reason, "kaboom") {
-		t.Errorf("decision log = %+v, want one panic event naming kaboom", events)
+		t.Errorf("WAL = %+v, want one panic event naming kaboom", events)
 	}
 }
 
@@ -320,13 +320,12 @@ func TestSnapshotCarriesIdempotencyKeys(t *testing.T) {
 	}
 }
 
-// TestNewFromDecisions rebuilds the daemon from its audit log alone and
-// checks the result against the live server it mirrors.
-func TestNewFromDecisions(t *testing.T) {
-	var log bytes.Buffer
+// TestRebuildFromWAL restarts the daemon on its WAL alone and checks the
+// rebuilt server against the live one it mirrors.
+func TestRebuildFromWAL(t *testing.T) {
 	clk := &fakeClock{}
 	cfg := uniformConfig(clk)
-	cfg.Decisions = trace.NewDecisionLog(&log)
+	cfg.WAL = openTestWAL(t)
 	s := newTestServer(t, cfg)
 
 	subs := []server.Submission{
@@ -354,14 +353,13 @@ func TestNewFromDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, err := trace.ReadDecisions(bytes.NewReader(log.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := server.NewFromDecisions(events, server.Config{
+	want, st := s.LiveReservations(), s.Status()
+	s.Close()
+	s2, err := server.New(server.Config{
 		Ingress: []units.Bandwidth{1 * units.GBps, 1 * units.GBps},
 		Egress:  []units.Bandwidth{1 * units.GBps, 1 * units.GBps},
 		Clock:   clk.now,
+		WAL:     cfg.WAL,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +369,6 @@ func TestNewFromDecisions(t *testing.T) {
 	if err := s2.VerifyInvariant(); err != nil {
 		t.Error(err)
 	}
-	want := s.LiveReservations()
 	got := s2.LiveReservations()
 	if len(got) != len(want) || len(got) != 1 {
 		t.Fatalf("live after replay = %d, want %d", len(got), len(want))
@@ -379,7 +376,7 @@ func TestNewFromDecisions(t *testing.T) {
 	if got[0].Req.ID != want[0].Req.ID || got[0].Grant != want[0].Grant {
 		t.Errorf("replayed reservation %+v, want %+v", got[0], want[0])
 	}
-	st, st2 := s.Status(), s2.Status()
+	st2 := s2.Status()
 	if st2.Stats.Accepted != st.Stats.Accepted || st2.Stats.Rejected != st.Stats.Rejected ||
 		st2.Stats.Cancelled != st.Stats.Cancelled {
 		t.Errorf("replayed counters %+v, want %+v", st2.Stats, st.Stats)
@@ -396,10 +393,10 @@ func TestNewFromDecisions(t *testing.T) {
 	}
 }
 
-// TestNewFromDecisionsExpiresPassedWindows: a reservation whose τ(r)
+// TestRebuildFromWALExpiresPassedWindows: a reservation whose τ(r)
 // passed before the log ends — the daemon died before writing the expire
 // event — comes back expired, not active.
-func TestNewFromDecisionsExpiresPassedWindows(t *testing.T) {
+func TestRebuildFromWALExpiresPassedWindows(t *testing.T) {
 	events := []trace.Event{
 		{At: 0, Kind: trace.EventAccept, Request: 0, Ingress: 0, Egress: 0,
 			RateBps: 1e9, SigmaS: 0, TauS: 10, VolumeB: 1e10, MaxRateBps: 1e9},
@@ -408,11 +405,22 @@ func TestNewFromDecisionsExpiresPassedWindows(t *testing.T) {
 		{At: 50, Kind: trace.EventReject, Request: 1, Ingress: 0, Egress: 0,
 			Reason: "capacity saturated"},
 	}
+	l := openTestWAL(t)
+	for _, ev := range events {
+		blob, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
 	clk := &fakeClock{}
-	s, err := server.NewFromDecisions(events, server.Config{
+	s, err := server.New(server.Config{
 		Ingress: []units.Bandwidth{1 * units.GBps},
 		Egress:  []units.Bandwidth{1 * units.GBps},
 		Clock:   clk.now,
+		WAL:     l,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"gridbw/internal/alloc"
-	"gridbw/internal/core"
 	"gridbw/internal/des"
 	"gridbw/internal/metrics"
 	"gridbw/internal/policy"
@@ -63,13 +62,11 @@ type Config struct {
 	// Clock supplies wall time; defaults to time.Now. Tests inject a
 	// manual clock for deterministic expiry.
 	Clock func() time.Time
-	// Decisions, when non-nil, receives every admission event. The plain
-	// *trace.DecisionLog writes JSON lines; any sink satisfies it.
-	Decisions trace.DecisionSink
 	// WAL, when non-nil, is the durable framed decision log: every event
 	// is appended to it (under the fsync policy the WAL was opened with)
-	// and it doubles as the replication stream a follower pulls. The
-	// server does not own it — the caller opens and closes it.
+	// and it doubles as the replication stream a follower pulls. New and
+	// NewFromSnapshot fold the history it already holds into the rebuilt
+	// state. The server does not own it — the caller opens and closes it.
 	WAL *wal.Log
 	// Follow, when non-empty, boots the server as a read-only follower of
 	// the primary daemon at this base URL: submissions and cancels answer
@@ -253,13 +250,58 @@ type idemEntry struct {
 	err  error
 }
 
+// state is what every rebuild rebuilds: the capacity ledger, the
+// reservation registry, the idempotency cache and the cross-shard holds.
+// It starts empty (newState) or from a snapshot (restoreState); the WAL
+// history past that point is then folded in through applyEventLocked.
+type state struct {
+	// ledger is internally sharded (one lock per access point); it is not
+	// guarded by s.mu. See the package comment for the lock order.
+	ledger *alloc.Sharded
+
+	// The rest is guarded by s.mu.
+	resv      map[request.ID]*entry
+	finished  []request.ID // FIFO eviction queue of terminal IDs
+	idem      map[string]*idemEntry
+	idemOrder []string // FIFO eviction queue of idempotency keys
+
+	// Cross-shard two-phase holds (see holds.go): every hold this shard
+	// currently knows about by router key, the ingress-side holds by the
+	// local request ID they allocated (cancel routing), and the FIFO
+	// eviction queue of resolved holds.
+	holds     map[string]*holdEntry
+	holdsByID map[request.ID]string
+	holdsDone []string
+}
+
+func newState(net *topology.Network) state {
+	return state{
+		ledger:    alloc.NewSharded(net),
+		resv:      make(map[request.ID]*entry),
+		idem:      make(map[string]*idemEntry),
+		holds:     make(map[string]*holdEntry),
+		holdsByID: make(map[request.ID]string),
+	}
+}
+
+// remember caches an idempotency-cache slot under its key, bounded by the
+// same FIFO retention as finished reservations.
+func (st *state) remember(key string, e *idemEntry, retention int) {
+	st.idem[key] = e
+	st.idemOrder = append(st.idemOrder, key)
+	for len(st.idemOrder) > retention {
+		evict := st.idemOrder[0]
+		st.idemOrder = st.idemOrder[1:]
+		delete(st.idem, evict)
+	}
+}
+
 // Server is the concurrent admission-control plane.
 type Server struct {
 	net        *topology.Network
 	pol        policy.Policy
 	policyName string
 	clock      func() time.Time
-	decisions  trace.DecisionSink
 	wal        *wal.Log
 	retention  int
 	maxBatch   int
@@ -277,32 +319,17 @@ type Server struct {
 	replID      string
 	peers       []string // replication-group base URLs, immutable
 
-	// ledger is internally sharded (one lock per access point); it is not
-	// guarded by s.mu. See the package comment for the lock order.
-	ledger *alloc.Sharded
-
 	// mu is the small global section: the service clock and expiry queue,
 	// the reservation registry, ID allocation, counters and the
 	// idempotency cache. Admission searches never run under it.
-	mu        sync.Mutex
-	sim       *des.Simulator
-	epoch     time.Time // wall instant of service time 0
-	resv      map[request.ID]*entry
-	finished  []request.ID // FIFO eviction queue of terminal IDs
-	nextID    request.ID
-	stats     metrics.Online
-	idem      map[string]*idemEntry
-	idemOrder []string  // FIFO eviction queue of idempotency keys
-	repl      replState // replication role, fencing epoch, pull cursor
-	closed    bool
-
-	// Cross-shard two-phase holds (see holds.go): every hold this shard
-	// currently knows about by router key, the ingress-side holds by the
-	// local request ID they allocated (cancel routing), and the FIFO
-	// eviction queue of resolved holds.
-	holds     map[string]*holdEntry
-	holdsByID map[request.ID]string
-	holdsDone []string
+	mu     sync.Mutex
+	sim    *des.Simulator
+	epoch  time.Time // wall instant of service time 0
+	nextID request.ID
+	stats  metrics.Online
+	repl   replState // replication role, fencing epoch, pull cursor
+	closed bool
+	state
 
 	// watchdogState, when set, reports the in-process failover watchdog's
 	// state for the metrics surface. The callback must not call back into
@@ -331,33 +358,13 @@ type Server struct {
 	done chan struct{}
 }
 
-// New validates cfg and starts a server with the service clock at 0.
-// Callers must Close it to stop the expiry loop.
+// New validates cfg and starts a server on its platform with the service
+// clock at 0, then folds in whatever history cfg.WAL already holds — so
+// the same call boots a fresh daemon, recovers a crashed one from its WAL
+// alone, and rebuilds a follower from its own log. Callers must Close it
+// to stop the expiry loop.
 func New(cfg Config) (*Server, error) {
-	net, err := topology.New(topology.Config{Ingress: cfg.Ingress, Egress: cfg.Egress})
-	if err != nil {
-		return nil, err
-	}
-	name := cfg.Policy
-	if name == "" {
-		name = "minbw"
-	}
-	pol, err := core.ParsePolicy(name)
-	if err != nil {
-		return nil, err
-	}
-	switch cfg.SyncMode {
-	case "", "off", "one", "quorum":
-	default:
-		return nil, fmt.Errorf("server: unknown sync mode %q (want off, one or quorum)", cfg.SyncMode)
-	}
-	s := newServer(cfg, net, pol, name)
-	s.epoch = s.clock()
-	if err := s.initRepl(cfg, 0); err != nil {
-		return nil, err
-	}
-	go s.loop()
-	return s, nil
+	return rebuild(nil, cfg)
 }
 
 func newServer(cfg Config, net *topology.Network, pol policy.Policy, name string) *Server {
@@ -409,7 +416,6 @@ func newServer(cfg Config, net *topology.Network, pol policy.Policy, name string
 		pol:        pol,
 		policyName: name,
 		clock:      clock,
-		decisions:  cfg.Decisions,
 		wal:        cfg.WAL,
 		retention:  retention,
 		maxBatch:   maxBatch,
@@ -423,12 +429,8 @@ func newServer(cfg Config, net *topology.Network, pol policy.Policy, name string
 		syncTimeout: syncTimeout,
 		replID:      cfg.ReplID,
 		peers:       normalizePeers(cfg.Peers),
-		ledger:      alloc.NewSharded(net),
 		sim:         des.New(),
-		resv:        make(map[request.ID]*entry),
-		idem:        make(map[string]*idemEntry),
-		holds:       make(map[string]*holdEntry),
-		holdsByID:   make(map[request.ID]string),
+		state:       newState(net),
 		inflight:    inflight,
 		retryAfter:  retryAfter,
 		loopNext:    units.Time(math.Inf(1)),
@@ -634,18 +636,6 @@ func (s *Server) validateSubmission(sub Submission) error {
 func (s *Server) Submit(sub Submission) (Decision, error) {
 	res, err := s.submitOne(sub)
 	return res.Decision, err
-}
-
-// rememberLocked caches an idempotency-cache slot under its key, bounded
-// by the same FIFO retention as finished reservations.
-func (s *Server) rememberLocked(key string, e *idemEntry) {
-	s.idem[key] = e
-	s.idemOrder = append(s.idemOrder, key)
-	for len(s.idemOrder) > s.retention {
-		evict := s.idemOrder[0]
-		s.idemOrder = s.idemOrder[1:]
-		delete(s.idem, evict)
-	}
 }
 
 // acceptLocked registers an admitted reservation: the grant was already
@@ -960,24 +950,20 @@ func (s *Server) logLocked(kind string, r request.Request, g request.Grant, reas
 	})
 }
 
-// appendEventLocked records one decision event in the durability chain:
-// first the framed WAL (which doubles as the replication stream), then
-// the plain decisions sink. Append failures must not fail admission; they
-// are counted, flipping the durability-degraded health signal — the
-// daemon keeps serving, but operators are paged about the hole.
+// appendEventLocked records one decision event in the framed WAL, which
+// doubles as the replication stream. Append failures must not fail
+// admission; they are counted, flipping the durability-degraded health
+// signal — the daemon keeps serving, but operators are paged about the
+// hole.
 func (s *Server) appendEventLocked(ev trace.Event) {
-	if s.wal != nil {
-		blob, err := json.Marshal(ev)
-		if err == nil {
-			_, err = s.wal.Append(blob)
-		}
-		if err != nil {
-			s.stats.RecordLogAppendFailure()
-		}
+	if s.wal == nil {
+		return
 	}
-	if s.decisions != nil {
-		if err := s.decisions.Append(ev); err != nil {
-			s.stats.RecordLogAppendFailure()
-		}
+	blob, err := json.Marshal(ev)
+	if err == nil {
+		_, err = s.wal.Append(blob)
+	}
+	if err != nil {
+		s.stats.RecordLogAppendFailure()
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"gridbw/internal/server/client"
 	"gridbw/internal/trace"
 	"gridbw/internal/units"
+	"gridbw/internal/wal"
 )
 
 // fakeClock is a manually advanced wall clock shared by a server and its
@@ -496,14 +497,12 @@ func TestConcurrentAdmissionStress(t *testing.T) {
 		workers*perWorker, accepted.Load(), len(live))
 }
 
-// TestDecisionLogAudit checks the admission audit trail: every lifecycle
+// TestWALAudit checks the admission audit trail: every lifecycle
 // transition is logged and the accepts replay into a fresh ledger.
-func TestDecisionLogAudit(t *testing.T) {
+func TestWALAudit(t *testing.T) {
 	clk := &fakeClock{}
-	var buf bytes.Buffer
-	log := trace.NewDecisionLog(&buf)
 	cfg := uniformConfig(clk)
-	cfg.Decisions = log
+	cfg.WAL = openTestWAL(t)
 	s := newTestServer(t, cfg)
 
 	d1, err := s.Submit(server.Submission{From: 0, To: 0, Volume: 50 * units.GB, Deadline: 100, MaxRate: 1 * units.GBps})
@@ -516,7 +515,7 @@ func TestDecisionLogAudit(t *testing.T) {
 	clk.advance(200 * time.Second)
 	s.Now() // fires the expiry
 
-	events, err := trace.ReadDecisions(&buf)
+	events, _, err := server.ReadWALEvents(cfg.WAL, wal.Pos{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"time"
 
-	"gridbw/internal/alloc"
 	"gridbw/internal/core"
 	"gridbw/internal/metrics"
 	"gridbw/internal/request"
@@ -23,8 +22,12 @@ import (
 // decisions, so retries of rejected or already-finished submissions stay
 // idempotent across a restart. Version 3 added cross-shard holds, so
 // tentative and confirmed one-sided bookings survive a snapshot-based
-// restore. Older snapshots are still readable.
+// restore.
 const SnapshotVersion = 3
+
+// minSnapshotVersion is the oldest schema restore reads. A version 3
+// reader takes version 2 as a snapshot without holds.
+const minSnapshotVersion = 2
 
 // snapReservation is the wire form of one live reservation: the full
 // request plus its grant, so restore can replay it through the ledger's
@@ -95,9 +98,6 @@ type Snapshot struct {
 	WALSeg uint64            `json:"wal_seg,omitempty"`
 	WALOff int64             `json:"wal_off,omitempty"`
 	Live   []snapReservation `json:"reservations"`
-	// Idempotency is the legacy (version 1) key map: submission key to the
-	// live reservation it booked. Read for compatibility, never written.
-	Idempotency map[string]int `json:"idempotency_keys,omitempty"`
 	// IdempotencyDecisions maps submission keys to their full cached
 	// decisions — including rejections and terminal reservations — so a
 	// client retrying with the same key after a daemon restart gets the
@@ -271,22 +271,31 @@ func (snap *Snapshot) WALPos() wal.Pos {
 	return wal.Pos{Seg: snap.WALSeg, Off: snap.WALOff}
 }
 
-// ReadSnapshot parses a snapshot. All versions from 1 (live-only
-// idempotency keys) through the current one are accepted.
+// ReadSnapshot parses a snapshot of version minSnapshotVersion through
+// the current one.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var snap Snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("server: decode snapshot: %w", err)
 	}
-	if snap.Version < 1 || snap.Version > SnapshotVersion {
-		return nil, fmt.Errorf("server: unsupported snapshot version %d (want 1..%d)", snap.Version, SnapshotVersion)
+	if err := snap.checkVersion(); err != nil {
+		return nil, err
 	}
 	return &snap, nil
 }
 
-// NewFromSnapshot restores a server from snap. Platform capacities and
+func (snap *Snapshot) checkVersion() error {
+	if snap.Version < minSnapshotVersion || snap.Version > SnapshotVersion {
+		return fmt.Errorf("server: unsupported snapshot version %d (want %d..%d)",
+			snap.Version, minSnapshotVersion, SnapshotVersion)
+	}
+	return nil
+}
+
+// NewFromSnapshot restores a server from snap, then folds in the WAL
+// history past the position the snapshot covers. Platform capacities and
 // policy come from the snapshot; cfg supplies the runtime wiring (Clock,
-// Decisions, FinishedRetention — its Ingress/Egress/Policy fields must be
+// WAL, FinishedRetention — its Ingress/Egress/Policy fields must be
 // empty). Every live reservation is replayed through the ledger, so a
 // tampered or inconsistent snapshot fails restore instead of admitting an
 // infeasible state.
@@ -294,72 +303,131 @@ func NewFromSnapshot(snap *Snapshot, cfg Config) (*Server, error) {
 	if len(cfg.Ingress) != 0 || len(cfg.Egress) != 0 || cfg.Policy != "" {
 		return nil, fmt.Errorf("server: restore takes platform and policy from the snapshot")
 	}
-	tcfg := topology.Config{}
 	for _, c := range snap.IngressBps {
-		tcfg.Ingress = append(tcfg.Ingress, units.Bandwidth(c))
+		cfg.Ingress = append(cfg.Ingress, units.Bandwidth(c))
 	}
 	for _, c := range snap.EgressBps {
-		tcfg.Egress = append(tcfg.Egress, units.Bandwidth(c))
+		cfg.Egress = append(cfg.Egress, units.Bandwidth(c))
 	}
-	net, err := topology.New(tcfg)
+	cfg.Policy = snap.Policy
+	return rebuild(snap, cfg)
+}
+
+// rebuild is the one way a server comes up: a restore step — snap's
+// state, or an empty one on cfg's platform when snap is nil — followed by
+// a fold of applyEventLocked over the WAL history the restore does not
+// cover (all of cfg.WAL without a snapshot, the suffix past snap.WALPos()
+// with one). The fold is the follower's tolerant apply, so replaying
+// history the snapshot already holds changes nothing.
+func rebuild(snap *Snapshot, cfg Config) (*Server, error) {
+	net, err := topology.New(topology.Config{Ingress: cfg.Ingress, Egress: cfg.Egress})
 	if err != nil {
-		return nil, fmt.Errorf("server: restore: %w", err)
+		return nil, err
 	}
-	name := snap.Policy
+	name := cfg.Policy
 	if name == "" {
 		name = "minbw"
 	}
 	pol, err := core.ParsePolicy(name)
 	if err != nil {
-		return nil, fmt.Errorf("server: restore: %w", err)
-	}
-	if snap.NowS < 0 || snap.NextID < 0 {
-		return nil, fmt.Errorf("server: restore: negative clock or ID counter")
-	}
-
-	s := newServer(cfg, net, pol, name)
-	// Anchor the epoch so service time resumes exactly at NowS.
-	s.epoch = s.clock().Add(-time.Duration(snap.NowS * float64(time.Second)))
-	s.nextID = request.ID(snap.NextID)
-	s.stats = snap.Counters
-
-	entries, err := liveFromSnapshot(snap, net, s.ledger)
-	if err != nil {
 		return nil, err
 	}
-	for id, e := range entries {
-		if cfg.Follow == "" {
-			// A follower deliberately leaves expiry timers unarmed: the
-			// primary's shipped expire events retire grants, and Promote
-			// arms the timers when the follower takes over.
+	switch cfg.SyncMode {
+	case "", "off", "one", "quorum":
+	default:
+		return nil, fmt.Errorf("server: unknown sync mode %q (want off, one or quorum)", cfg.SyncMode)
+	}
+	s := newServer(cfg, net, pol, name)
+	s.epoch = s.clock()
+	var from wal.Pos
+	var snapEpoch uint64
+	if snap != nil {
+		if s.state, err = restoreState(snap, net, s.retention); err != nil {
+			return nil, err
+		}
+		// Anchor the epoch so service time resumes exactly at NowS.
+		s.epoch = s.clock().Add(-time.Duration(snap.NowS * float64(time.Second)))
+		s.nextID = request.ID(snap.NextID)
+		s.stats = snap.Counters
+		from, snapEpoch = snap.WALPos(), snap.Epoch
+	}
+	// A fold from the origin is the whole history only while the WAL still
+	// starts there. Segments compacted away live on only in the snapshot
+	// that covered them; folding the survivors alone would drop every
+	// grant they booked and admit into capacity already granted.
+	if cfg.WAL != nil && from.IsZero() {
+		if first := cfg.WAL.FirstPos(); first.Seg > 1 {
+			return nil, fmt.Errorf("server: WAL %s starts at %v, past its origin: the compacted history needs the snapshot that covered it",
+				cfg.WAL.Dir(), first)
+		}
+	}
+	if cfg.Follow == "" {
+		// A follower deliberately leaves expiry timers unarmed: the
+		// primary's shipped expire events retire grants, and Promote
+		// arms the timers when the follower takes over.
+		for id, e := range s.resv {
 			e.expire = s.sim.At(e.grant.Tau, s.expireEvent(id))
 		}
-		s.resv[id] = e
+		s.armHoldTimersLocked()
 	}
-	if err := s.restoreIdempotency(snap, s.resv); err != nil {
+	if err := s.initRepl(cfg, snapEpoch); err != nil {
 		return nil, err
 	}
-	if err := s.restoreHolds(snap, cfg.Follow != ""); err != nil {
-		return nil, err
+	folded := 0
+	if s.wal != nil {
+		events, _, err := ReadWALEvents(s.wal, from)
+		if err == nil {
+			folded, err = s.ApplyEvents(events)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("server: fold WAL from %v: %w", from, err)
+		}
 	}
-	if err := s.initRepl(cfg, snap.Epoch); err != nil {
-		return nil, err
+	// A follower appends only shipped frames: its WAL positions then match
+	// the primary's, which keeps another follower's cursor valid on it
+	// after a promotion. Only a primary records the restore.
+	if cfg.Follow == "" && (snap != nil || folded > 0) {
+		reason := fmt.Sprintf("%d WAL events folded", folded)
+		if snap != nil {
+			reason = fmt.Sprintf("snapshot of %d live reservations, %s", len(snap.Live), reason)
+		}
+		s.appendEventLocked(trace.Event{
+			At: float64(s.wallNow()), Kind: trace.EventRestore, Request: -1, Reason: reason,
+		})
 	}
-	s.appendEventLocked(trace.Event{
-		At: snap.NowS, Kind: trace.EventRestore, Request: -1,
-		Reason: fmt.Sprintf("%d live reservations", len(snap.Live)),
-	})
 	go s.loop()
 	return s, nil
 }
 
-// liveFromSnapshot validates snap's live reservations and reserves each
-// grant in ledger — the ledger re-checks equation (1), so an infeasible
-// or tampered snapshot is rejected rather than silently over-committing a
-// point. The returned entries carry no expiry timers; callers arm them
-// (or deliberately do not, on a follower).
-func liveFromSnapshot(snap *Snapshot, net *topology.Network, ledger *alloc.Sharded) (map[request.ID]*entry, error) {
-	entries := make(map[request.ID]*entry, len(snap.Live))
+// restoreState rebuilds the state snap records on net — the restore step
+// of NewFromSnapshot and of a follower's Reseed. Every live reservation
+// and hold is re-booked through the ledger's own checks, so a tampered or
+// infeasible snapshot is rejected rather than silently over-committing a
+// point, and idempotency decisions are validated against the restored
+// registry. No timers are armed; callers arm them (or deliberately do
+// not, on a follower).
+func restoreState(snap *Snapshot, net *topology.Network, retention int) (state, error) {
+	if err := snap.checkVersion(); err != nil {
+		return state{}, err
+	}
+	if snap.NowS < 0 || snap.NextID < 0 {
+		return state{}, fmt.Errorf("server: restore: negative clock or ID counter")
+	}
+	st := newState(net)
+	if err := st.restoreLive(snap, net); err != nil {
+		return state{}, err
+	}
+	if err := st.restoreIdempotency(snap, retention); err != nil {
+		return state{}, err
+	}
+	if err := st.restoreHolds(snap, net); err != nil {
+		return state{}, err
+	}
+	return st, nil
+}
+
+// restoreLive validates snap's live reservations and reserves each grant.
+func (st *state) restoreLive(snap *Snapshot, net *topology.Network) error {
 	for _, sr := range snap.Live {
 		r := request.Request{
 			ID:      request.ID(sr.ID),
@@ -372,13 +440,13 @@ func liveFromSnapshot(snap *Snapshot, net *topology.Network, ledger *alloc.Shard
 		}
 		if int(r.Ingress) >= net.NumIngress() || int(r.Egress) >= net.NumEgress() ||
 			r.Ingress < 0 || r.Egress < 0 {
-			return nil, fmt.Errorf("server: restore: reservation %d routed through unknown point", sr.ID)
+			return fmt.Errorf("server: restore: reservation %d routed through unknown point", sr.ID)
 		}
 		if err := r.Validate(); err != nil {
-			return nil, fmt.Errorf("server: restore: %w", err)
+			return fmt.Errorf("server: restore: %w", err)
 		}
 		if int(r.ID) >= snap.NextID {
-			return nil, fmt.Errorf("server: restore: reservation %d not below next_id %d", sr.ID, snap.NextID)
+			return fmt.Errorf("server: restore: reservation %d not below next_id %d", sr.ID, snap.NextID)
 		}
 		g := request.Grant{
 			Request:   r.ID,
@@ -387,22 +455,21 @@ func liveFromSnapshot(snap *Snapshot, net *topology.Network, ledger *alloc.Shard
 			Tau:       units.Time(sr.TauS),
 		}
 		if g.Tau <= g.Sigma || g.Bandwidth <= 0 {
-			return nil, fmt.Errorf("server: restore: reservation %d has degenerate grant", sr.ID)
+			return fmt.Errorf("server: restore: reservation %d has degenerate grant", sr.ID)
 		}
-		if err := ledger.Reserve(r, g); err != nil {
-			return nil, fmt.Errorf("server: restore: %w", err)
+		if err := st.ledger.Reserve(r, g); err != nil {
+			return fmt.Errorf("server: restore: %w", err)
 		}
-		entries[r.ID] = &entry{req: r, grant: g, state: StateActive}
+		st.resv[r.ID] = &entry{req: r, grant: g, state: StateActive}
 	}
-	return entries, nil
+	return nil
 }
 
 // restoreHolds rebuilds the cross-shard hold registry: each persisted
-// hold re-books its one-sided capacity through the ledger's own checks,
-// and (unless following) re-arms its TTL rollback or on-time release.
-func (s *Server) restoreHolds(snap *Snapshot, following bool) error {
+// hold re-books its one-sided capacity through the ledger's own checks.
+func (st *state) restoreHolds(snap *Snapshot, net *topology.Network) error {
 	for _, sh := range snap.Holds {
-		if _, dup := s.holds[sh.Key]; dup {
+		if _, dup := st.holds[sh.Key]; dup {
 			return fmt.Errorf("server: restore: duplicate hold %q", sh.Key)
 		}
 		e := &holdEntry{
@@ -419,11 +486,11 @@ func (s *Server) restoreHolds(snap *Snapshot, following bool) error {
 		}
 		switch sh.Side {
 		case trace.HoldSideIngress:
-			if sh.Point < 0 || sh.Point >= s.net.NumIngress() {
+			if sh.Point < 0 || sh.Point >= net.NumIngress() {
 				return fmt.Errorf("server: restore: hold %q on unknown ingress %d", sh.Key, sh.Point)
 			}
 		case trace.HoldSideEgress:
-			if sh.Point < 0 || sh.Point >= s.net.NumEgress() {
+			if sh.Point < 0 || sh.Point >= net.NumEgress() {
 				return fmt.Errorf("server: restore: hold %q on unknown egress %d", sh.Key, sh.Point)
 			}
 		default:
@@ -433,32 +500,23 @@ func (s *Server) restoreHolds(snap *Snapshot, following bool) error {
 		if sh.RateBps <= 0 || sh.TauS <= sh.SigmaS {
 			return fmt.Errorf("server: restore: hold %q has degenerate grant", sh.Key)
 		}
-		if err := s.ledger.HoldReserve(e.dir(), e.point, e.sigma, e.tau, e.bw); err != nil {
+		if err := st.ledger.HoldReserve(e.dir(), e.point, e.sigma, e.tau, e.bw); err != nil {
 			return fmt.Errorf("server: restore: hold %q: %w", sh.Key, err)
 		}
 		e.booked = true
-		s.holds[sh.Key] = e
+		st.holds[sh.Key] = e
 		if e.id >= 0 {
-			s.holdsByID[e.id] = sh.Key
+			st.holdsByID[e.id] = sh.Key
 		}
-	}
-	if !following {
-		s.armHoldTimersLocked()
 	}
 	return nil
 }
 
-// restoreIdempotency rebuilds the idempotency cache, validating live
-// claims against resv (the registry the snapshot restored). Version-2
-// snapshots carry full decisions; the legacy version-1 map only knew live
-// keys. Keys are inserted in sorted order so the FIFO eviction queue is
+// restoreIdempotency rebuilds the idempotency cache from the snapshot's
+// cached decisions, validating live claims against the restored registry.
+// Keys are inserted in sorted order so the FIFO eviction queue is
 // deterministic across restores.
-func (s *Server) restoreIdempotency(snap *Snapshot, resv map[request.ID]*entry) error {
-	settled := func(d Decision) *idemEntry {
-		e := &idemEntry{done: make(chan struct{}), d: d}
-		close(e.done)
-		return e
-	}
+func (st *state) restoreIdempotency(snap *Snapshot, retention int) error {
 	keys := make([]string, 0, len(snap.IdempotencyDecisions))
 	for key := range snap.IdempotencyDecisions {
 		keys = append(keys, key)
@@ -481,30 +539,14 @@ func (s *Server) restoreIdempotency(snap *Snapshot, resv map[request.ID]*entry) 
 				return fmt.Errorf("server: restore: idempotency key %q for reservation %d not below next_id %d",
 					key, sd.ID, snap.NextID)
 			}
-			if _, live := resv[d.ID]; !live && (d.State == StateBooked || d.State == StateActive) {
+			if _, live := st.resv[d.ID]; !live && (d.State == StateBooked || d.State == StateActive) {
 				return fmt.Errorf("server: restore: idempotency key %q claims live reservation %d absent from snapshot",
 					key, sd.ID)
 			}
 		}
-		s.rememberLocked(key, settled(d))
-	}
-
-	// Legacy version-1 map: key -> live reservation ID.
-	legacy := make([]string, 0, len(snap.Idempotency))
-	for key := range snap.Idempotency {
-		legacy = append(legacy, key)
-	}
-	slices.Sort(legacy)
-	for _, key := range legacy {
-		id := snap.Idempotency[key]
-		e, ok := resv[request.ID(id)]
-		if !ok {
-			return fmt.Errorf("server: restore: idempotency key for unknown reservation %d", id)
-		}
-		s.rememberLocked(key, settled(Decision{
-			ID: e.req.ID, Accepted: true, State: StateActive,
-			Rate: e.grant.Bandwidth, Sigma: e.grant.Sigma, Tau: e.grant.Tau,
-		}))
+		e := &idemEntry{done: make(chan struct{}), d: d}
+		close(e.done)
+		st.remember(key, e, retention)
 	}
 	return nil
 }

@@ -1,14 +1,5 @@
 package trace
 
-import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"sync"
-)
-
 // Decision-event kinds emitted by the online admission daemon.
 const (
 	EventAccept  = "accept"
@@ -80,95 +71,4 @@ type Event struct {
 	// ExpireS is the service-time deadline of an unconfirmed hold
 	// (EventHoldReserve only): recovery re-arms the rollback timer here.
 	ExpireS float64 `json:"expire_s,omitempty"`
-}
-
-// DecisionSink receives admission events as they are decided.
-// *DecisionLog is the plain JSON-lines implementation; the daemon's
-// WAL-backed log satisfies it too, and tests inject failing sinks to
-// exercise the durability-degraded path.
-type DecisionSink interface {
-	Append(Event) error
-}
-
-// DecisionLog appends admission events as JSON Lines (one object per
-// line, no envelope) so a live daemon's log can be tailed and is valid
-// at every prefix. Append is safe for concurrent use.
-type DecisionLog struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-// NewDecisionLog returns a log writing to w.
-func NewDecisionLog(w io.Writer) *DecisionLog {
-	return &DecisionLog{enc: json.NewEncoder(w)}
-}
-
-// Append writes one event.
-func (l *DecisionLog) Append(ev Event) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.enc.Encode(ev); err != nil {
-		return fmt.Errorf("trace: append decision: %w", err)
-	}
-	return nil
-}
-
-// ReadDecisions parses a JSON Lines decision stream, skipping blank lines.
-func ReadDecisions(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("trace: decision line %d: %w", line, err)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: read decisions: %w", err)
-	}
-	return out, nil
-}
-
-// RecoverDecisions parses a JSON Lines decision stream the way crash
-// recovery must: at the first malformed line — a torn tail from a daemon
-// killed mid-append, or corruption further up — parsing stops and the
-// rest of the stream is dropped, so the result is always a valid prefix.
-// It returns the surviving events and how many non-blank lines were
-// dropped; the error is reserved for reader failures, never for content.
-func RecoverDecisions(r io.Reader) ([]Event, int, error) {
-	var out []Event
-	dropped := 0
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		if dropped > 0 {
-			// Already past the tear: count the remainder, keep nothing.
-			dropped++
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			dropped++
-			continue
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			// An over-long line is torn garbage, not a reader failure.
-			return out, dropped + 1, nil
-		}
-		return nil, 0, fmt.Errorf("trace: recover decisions: %w", err)
-	}
-	return out, dropped, nil
 }

@@ -10,8 +10,7 @@
 // until the first short or corrupt one, truncates the file there, and
 // reports how many complete records survived. A torn tail — the normal
 // aftermath of a crash mid-append — costs at most the records past the
-// last fsync point, never the whole log (contrast the JSON-lines
-// trace.DecisionLog, where one torn line used to abort replay).
+// last fsync point, never the whole log.
 //
 // The log rotates into numbered segment files at a size threshold, so
 // compaction after a snapshot is an O(1) unlink of whole segments rather
